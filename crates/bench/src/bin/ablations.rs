@@ -38,9 +38,4 @@ fn main() {
         "mix",
         &ablation_weights(scale),
     );
-    print_figure(
-        "Ablation: hierarchical (0=flat, 1=2 sites)",
-        "mode",
-        &ablation_hierarchical(scale),
-    );
 }

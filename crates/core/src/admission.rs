@@ -232,29 +232,19 @@ impl AdmissionQueue {
             }
             p.attempts += 1;
             let budget = if p.deferred { None } else { deadline };
-            let path = if p.deferred {
-                AdmissionPath::DeferredReplan
-            } else {
-                AdmissionPath::Resumed
-            };
             match planner.resume_parked(p.round, budget) {
                 ResumeOutcome::Resolved(outcome) => {
-                    let path = if outcome.verdict
+                    let path = if p.deferred {
+                        AdmissionPath::DeferredReplan
+                    } else if outcome.verdict
                         == RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
                         && !outcome.proved_optimal
-                        && !p.deferred
                     {
                         AdmissionPath::IncumbentHandoff
                     } else {
-                        path
+                        AdmissionPath::Resumed
                     };
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict: outcome.verdict,
-                        attempts: p.attempts,
-                        path,
-                    });
-                    resolved.push(outcome);
+                    self.resolve(outcome, p.attempts, path, &mut resolved);
                 }
                 ResumeOutcome::StillOpen(round) => {
                     if p.attempts < max_retries {
@@ -262,21 +252,17 @@ impl AdmissionQueue {
                         p.eligible_at = self.tick + (backoff << (p.attempts - 1).min(32) as u64);
                         p.round = round;
                         self.parked.push_back(p);
-                    } else if matches!(planner.admit_greedy(round.query()), Ok(true)) {
-                        // Rung 3: greedy install — served at degraded
-                        // quality; the suspended search is dropped.
-                        let outcome = degraded_outcome(
-                            round.query(),
-                            round.nodes_done(),
-                            RoundVerdict::Admitted(Admitted::IncumbentAtDeadline),
+                        continue;
+                    }
+                    // Rung 3: greedy install — served at degraded quality.
+                    let outcome = greedy_install(planner, &round);
+                    if outcome.admitted {
+                        self.resolve(
+                            outcome,
+                            p.attempts,
+                            AdmissionPath::GreedyInstall,
+                            &mut resolved,
                         );
-                        self.log.push(AdmissionRecord {
-                            query: outcome.query,
-                            verdict: outcome.verdict,
-                            attempts: p.attempts,
-                            path: AdmissionPath::GreedyInstall,
-                        });
-                        resolved.push(outcome);
                     } else {
                         // Rung 4: defer — the next resume runs unbounded
                         // and must produce a proven verdict.
@@ -299,49 +285,55 @@ impl AdmissionQueue {
         let mut resolved = Vec::new();
         while let Some(mut p) = self.parked.pop_front() {
             p.attempts += 1;
-            match planner.resume_parked(p.round, None) {
-                ResumeOutcome::Resolved(outcome) => {
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict: outcome.verdict,
-                        attempts: p.attempts,
-                        path: AdmissionPath::DeferredReplan,
-                    });
-                    resolved.push(outcome);
-                }
-                // Unreachable (an unbounded resume always completes), but
-                // kept panic-free: fall back to the greedy rung and record
-                // the answer rather than dropping the submission.
-                ResumeOutcome::StillOpen(round) => {
-                    let admitted = matches!(planner.admit_greedy(round.query()), Ok(true));
-                    let verdict = if admitted {
-                        RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-                    } else {
-                        RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
-                    };
-                    let outcome = degraded_outcome(round.query(), round.nodes_done(), verdict);
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict,
-                        attempts: p.attempts,
-                        path: AdmissionPath::GreedyInstall,
-                    });
-                    resolved.push(outcome);
-                }
-            }
+            let (outcome, path) = match planner.resume_parked(p.round, None) {
+                ResumeOutcome::Resolved(outcome) => (outcome, AdmissionPath::DeferredReplan),
+                // An unbounded resume still stops at an expired wall
+                // deadline ([`SqprPlanner::set_wall_deadline`]) with no
+                // admitting incumbent: fall back to the greedy rung and
+                // record the answer, admitted or not, rather than dropping
+                // the submission.
+                ResumeOutcome::StillOpen(round) => (
+                    greedy_install(planner, &round),
+                    AdmissionPath::GreedyInstall,
+                ),
+            };
+            self.resolve(outcome, p.attempts, path, &mut resolved);
         }
         resolved
     }
+
+    /// Records a terminal verdict in the ledger and hands the outcome back.
+    fn resolve(
+        &mut self,
+        outcome: PlanningOutcome,
+        attempts: u32,
+        path: AdmissionPath,
+        resolved: &mut Vec<PlanningOutcome>,
+    ) {
+        self.log.push(AdmissionRecord {
+            query: outcome.query,
+            verdict: outcome.verdict,
+            attempts,
+            path,
+        });
+        resolved.push(outcome);
+    }
 }
 
-/// Outcome synthesized for a ladder resolution that never re-entered the
-/// solver (greedy install / defensive fallback).
-fn degraded_outcome(q: QueryId, nodes: usize, verdict: RoundVerdict) -> PlanningOutcome {
+/// Ladder rung 3: installs the greedy baseline placement of a round still
+/// open ([`SqprPlanner::admit_greedy`]); the suspended search is dropped.
+/// The outcome never re-entered the solver.
+fn greedy_install(planner: &mut SqprPlanner, round: &PreemptedRound) -> PlanningOutcome {
+    let verdict = if matches!(planner.admit_greedy(round.query()), Ok(true)) {
+        RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
+    } else {
+        RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
+    };
     PlanningOutcome {
-        query: q,
+        query: round.query(),
         admitted: verdict.is_admitted(),
         reused_existing: false,
-        nodes,
+        nodes: round.nodes_done(),
         lp_iterations: 0,
         lp_pivots: sqpr_milp::PivotCounts::default(),
         gap: f64::INFINITY,

@@ -1131,18 +1131,6 @@ impl PlanningModel {
             .collect()
     }
 
-    /// Whether a candidate solution is *causal*: decoded onto the previous
-    /// state, every availability/flow/placement claim must be derivable
-    /// from base streams through operators and flows (the fixpoint of
-    /// [`DeploymentState::derive_availability`]). Used as the lazy
-    /// stand-in for the paper's acyclicity constraints.
-    pub fn is_causal(&self, xsol: &[f64], prev: &DeploymentState, catalog: &Catalog) -> bool {
-        let decoded = self.decode(xsol, prev);
-        let mut cand = prev.clone();
-        decoded.install(&mut cand);
-        cand.validate(catalog).is_empty()
-    }
-
     /// Whether a solution vector admits the given demanded stream.
     pub fn admits(&self, x: &[f64], stream: StreamId) -> bool {
         self.d

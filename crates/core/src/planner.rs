@@ -7,6 +7,8 @@
 //! queries survive any timeout), solve under the configured budget, and
 //! install the best incumbent if it admits the query.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -57,6 +59,11 @@ impl fmt::Display for PlannerError {
 }
 
 impl std::error::Error for PlannerError {}
+
+/// Sentinel id of a batch round ([`SqprPlanner::submit_batch`]): it never
+/// parks, and its members — not the round — are admitted and logged for
+/// skeleton liveness.
+const BATCH_ROUND: QueryId = QueryId(u32::MAX);
 
 /// Result of one planning round.
 #[derive(Debug, Clone)]
@@ -218,13 +225,30 @@ impl fmt::Debug for PreemptedRound {
     }
 }
 
-/// How one branch & bound construction of a planning round ended.
-// `Done` keeps `MilpResult` by value: it is the overwhelmingly common arm
-// and the suspended arm is already boxed.
-#[allow(clippy::large_enum_variant)]
-enum RoundSolve {
-    Done(MilpResult),
-    Preempted(Box<SearchState>, PreemptCause),
+/// The opening slice of a round's search.
+enum Opening<'a> {
+    /// A new branch & bound construction over the round's model.
+    Fresh {
+        opts: &'a MilpOptions,
+        start: Option<&'a [f64]>,
+        /// Served from the solver context: the previous root basis and the
+        /// cached compressed LP.
+        incremental: bool,
+    },
+    /// A parked search, resumed where it stopped.
+    Parked(Box<SearchState>),
+}
+
+/// How a round's search ended.
+struct Solved {
+    /// The final result, or the anytime incumbent snapshot (always causal —
+    /// the filter gates incumbents) of a search still open at a deadline.
+    result: MilpResult,
+    /// The suspended search, when a deadline expired with it still open.
+    open: Option<(Box<SearchState>, PreemptCause)>,
+    /// Availability cuts violated by the acausal incumbents the lazy
+    /// filter rejected.
+    cuts: Vec<AvailabilityCut>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -248,50 +272,6 @@ pub(crate) enum ResumeOutcome {
     /// The deadline expired again with no admitting incumbent; the round is
     /// handed back, still suspended.
     StillOpen(PreemptedRound),
-}
-
-/// Drives one branch & bound construction in `quantum`-node slices through
-/// [`solve_preemptible`], suspending strictly between node evaluations.
-/// Returns [`RoundSolve::Preempted`] when the node budget (deterministic)
-/// or the wall deadline (best-effort) expires with the search still open.
-/// `quantum = 0` means unsliced; without a budget or deadline the sliced
-/// run completes with bit-identical results to the unsliced one (the
-/// `SQPR_NODE_QUANTUM` transparency invariant CI fuzzes).
-#[allow(clippy::too_many_arguments)]
-fn drive_preemptible(
-    milp: &sqpr_milp::Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
-    quantum: usize,
-    node_budget: Option<usize>,
-    wall_deadline: Option<Instant>,
-) -> RoundSolve {
-    let quantum = if quantum == 0 { usize::MAX } else { quantum };
-    // A slice never runs past the node budget, so the deadline is observed
-    // exactly (a `Some(0)` budget suspends before the first evaluation).
-    let slice = |done: usize| match node_budget {
-        Some(b) => quantum.min(b.saturating_sub(done)),
-        None => quantum,
-    };
-    let mut outcome = solve_preemptible(milp, opts, warm, filter, cache, slice(0));
-    loop {
-        match outcome {
-            SolveOutcome::Done(r) => return RoundSolve::Done(r),
-            SolveOutcome::Suspended(state) => {
-                let done = state.nodes_done();
-                if node_budget.is_some_and(|b| done >= b) {
-                    return RoundSolve::Preempted(state, PreemptCause::NodeDeadline);
-                }
-                // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
-                if wall_deadline.is_some_and(|d| Instant::now() >= d) {
-                    return RoundSolve::Preempted(state, PreemptCause::WallClock);
-                }
-                outcome = state.resume(filter, slice(done));
-            }
-        }
-    }
 }
 
 /// The SQPR query planner (paper §IV).
@@ -452,25 +432,31 @@ impl SqprPlanner {
         self.validate_bases(bases)?;
         let q = QueryId(self.next_query);
         self.next_query += 1;
-        let tag = self.reuse_tag(q);
-        let (spec, space) = register_join_query(&mut self.catalog, q, bases, tag);
-
-        // Algorithm 1 line 3: the stream may already be provided.
-        if self.state.provider_of(spec.result).is_some() {
-            self.state.admit_query(q, spec.result);
-            let outcome = short_circuit_outcome(q);
-            self.queries.push(spec);
-            self.outcomes.push(outcome.clone());
-            return Ok(outcome);
-        }
-
-        let outcome = self.plan_streams(q, std::slice::from_ref(&spec.result), &space, true);
-        if outcome.admitted {
-            self.state.admit_query(q, spec.result);
-        }
+        let (spec, outcome) = self.register_and_plan(q, bases, true);
         self.queries.push(spec);
         self.outcomes.push(outcome.clone());
         Ok(outcome)
+    }
+
+    /// Algorithm 1 for one query: registers its plan space, short-circuits
+    /// if its result stream is already provided (line 3), and plans it
+    /// otherwise (the round admits it if it installs).
+    fn register_and_plan(
+        &mut self,
+        q: QueryId,
+        bases: &[StreamId],
+        deadline_bounded: bool,
+    ) -> (QuerySpec, PlanningOutcome) {
+        let tag = self.reuse_tag(q);
+        let (spec, space) = register_join_query(&mut self.catalog, q, bases, tag);
+        let outcome = if self.state.provider_of(spec.result).is_some() {
+            self.state.admit_query(q, spec.result);
+            short_circuit_outcome(q)
+        } else {
+            let streams = std::slice::from_ref(&spec.result);
+            self.plan_streams(q, streams, &space, deadline_bounded)
+        };
+        (spec, outcome)
     }
 
     /// Submits a batch of queries planned in a single optimisation (paper
@@ -510,10 +496,9 @@ impl SqprPlanner {
         } else {
             // Batch rounds are never parked (their members cannot be
             // resumed individually), so they run deadline-free.
-            let outcome = self.plan_streams(QueryId(u32::MAX), &new_streams, &merged, false);
-            // Batch rounds plan under a sentinel id; log the merged space
-            // under each member so skeleton compaction sees them as live
-            // while they stay admitted.
+            let outcome = self.plan_streams(BATCH_ROUND, &new_streams, &merged, false);
+            // Log the merged space under each member so skeleton
+            // compaction sees them as live while they stay admitted.
             if let Some(cache) = &mut self.ctx.cache {
                 for spec in &specs {
                     cache.query_log.push((spec.id, merged.clone()));
@@ -636,15 +621,14 @@ impl SqprPlanner {
         self.ctx.lp_cache.invalidate();
     }
 
-    /// Builds a planning model from scratch over the given space (the
-    /// cold path, and the incremental path's first round).
-    fn build_model(
-        &self,
-        space: &PlanSpace,
-        new_streams: &[StreamId],
-        cuts: &[AvailabilityCut],
-    ) -> PlanningModel {
-        PlanningModel::build(&ModelInputs {
+    /// The model inputs of this planner over the given space.
+    fn model_inputs<'a>(
+        &'a self,
+        space: &'a PlanSpace,
+        new_streams: &'a [StreamId],
+        cuts: &'a [AvailabilityCut],
+    ) -> ModelInputs<'a> {
+        ModelInputs {
             catalog: &self.catalog,
             state: &self.state,
             space,
@@ -654,11 +638,28 @@ impl SqprPlanner {
             acyclicity: self.config.acyclicity,
             replan: self.config.replan,
             cuts,
-        })
+        }
     }
 
-    /// Core planning round: build or extend, warm-start, solve, decode,
-    /// install.
+    /// Builds a planning model from scratch over the given space (the
+    /// cold path, and the incremental path's first round).
+    fn build_model(
+        &self,
+        space: &PlanSpace,
+        new_streams: &[StreamId],
+        cuts: &[AvailabilityCut],
+    ) -> PlanningModel {
+        PlanningModel::build(&self.model_inputs(space, new_streams, cuts))
+    }
+
+    /// Core planning round (Algorithm 1), in stages shared with resumed
+    /// rounds where they overlap: build or extend the model, warm-start it,
+    /// set the solver options, drive the search in slices, and settle the
+    /// result. In lazy-acyclicity mode the branch & bound rejects acausal
+    /// incumbents; the cuts they violate are added and the model re-solved
+    /// so the true optimum is not lost to pruning. (The incremental path
+    /// accumulates its cuts in the cache instead — they stay valid for
+    /// every later submission.)
     fn plan_streams(
         &mut self,
         q: QueryId,
@@ -675,6 +676,108 @@ impl SqprPlanner {
             full = full_space(&self.catalog);
             &full
         };
+        let incremental = self.begin_round(space, new_streams);
+        // The outcome reports this round's deltas of the (monotone)
+        // compressed-LP cache counters.
+        let cache_stats_before = self.ctx.lp_cache.stats();
+        // The skeleton is held here for the round and handed back to the
+        // context when it settles.
+        let mut skeleton = self.ctx.cache.take();
+        let max_rounds = if self.config.acyclicity == AcyclicityMode::Lazy {
+            3
+        } else {
+            1
+        };
+        let mut round = 0;
+        let mut cuts: Vec<AvailabilityCut> = Vec::new();
+        let mut warm: Option<Vec<f64>> = None;
+        let mut admitting_start = false;
+        // Node deadline accounting across cut rounds: the deadline is per
+        // *planning round* (submission), not per construction.
+        let mut nodes_spent = 0usize;
+        loop {
+            round += 1;
+            let cold;
+            let (model, skeleton_cuts) = if incremental {
+                let log = if round == 1 && q != BATCH_ROUND {
+                    vec![(q, space.clone())]
+                } else {
+                    Vec::new()
+                };
+                let cache =
+                    self.extend_skeleton(skeleton.take(), log, space, new_streams, &mut cuts);
+                let cache: &ModelCache = skeleton.insert(cache);
+                (&cache.model, Some(&cache.cuts))
+            } else {
+                cold = self.build_model(space, new_streams, &cuts);
+                (&cold, None)
+            };
+            if round == 1 {
+                (warm, admitting_start) = self.warm_start(model, q, new_streams);
+            }
+            let opts = milp_options(&self.config, admitting_start);
+            let target = if deadline_bounded && self.config.node_quantum > 0 {
+                self.config
+                    .round_deadline
+                    .map(|d| d.saturating_sub(nodes_spent))
+            } else {
+                None
+            };
+            let opening = Opening::Fresh {
+                opts: &opts,
+                start: warm.as_deref(),
+                incremental,
+            };
+            let Solved {
+                result,
+                open,
+                cuts: mut fresh,
+            } = self.drive(model, opening, target);
+            nodes_spent += result.nodes;
+            let preempted = open.is_some();
+            // If acausal candidates were pruned, the claimed optimum may be
+            // wrong: add their cuts and re-solve (unless out of rounds).
+            let known = skeleton_cuts.unwrap_or(&cuts);
+            fresh.retain(|c| !known.contains(c));
+            if incremental {
+                if result.root_basis.is_some() {
+                    self.ctx.root_basis = result.root_basis.clone();
+                } else if !preempted {
+                    // A preempted snapshot carries no root basis; keep the
+                    // previous one rather than cold-starting the next round.
+                    self.ctx.root_basis = None;
+                }
+            }
+            if !fresh.is_empty() && round < max_rounds && !preempted {
+                cuts.extend(fresh);
+                continue;
+            }
+
+            // A node deadline keeps the suspended search so a non-admitting
+            // round can be parked for the admission queue; a wall-clock
+            // expiry (recovery storm) drops it — recovery has its own
+            // degradation ladder.
+            let open = open
+                .filter(|(_, cause)| *cause == PreemptCause::NodeDeadline)
+                .map(|(state, _)| state);
+            let streams = Cow::Borrowed(new_streams);
+            let (mut outcome, parked) =
+                self.settle(q, streams, Cow::Borrowed(model), result, open, started);
+            if parked.is_some() {
+                self.preempt = parked;
+            }
+            self.ctx.cache = skeleton;
+            outcome.incremental = incremental;
+            outcome.lp_cache = self.ctx.lp_cache.stats().since(&cache_stats_before);
+            return outcome;
+        }
+    }
+
+    /// Opens a planning round: counts its kind, drops a solver context the
+    /// configuration cannot extend, and compacts the skeleton when dead
+    /// columns dominate. Returns whether the round extends the persistent
+    /// skeleton.
+    fn begin_round(&mut self, space: &PlanSpace, new_streams: &[StreamId]) -> bool {
         let incremental = self.incremental_eligible();
         if incremental {
             self.stats.incremental_rounds += 1;
@@ -689,397 +792,282 @@ impl SqprPlanner {
         if !incremental || self.ctx.cache.as_ref().is_some_and(|c| c.sig != sig) {
             self.ctx = SolverContext::default();
         }
-        // Snapshot after the potential context reset: the outcome reports
-        // this round's deltas of the (monotone) compressed-LP cache
-        // counters. `LpCacheSlot::invalidate` (compaction) keeps them.
-        let cache_stats_before = self.ctx.lp_cache.stats();
         if incremental {
             self.maybe_compact_skeleton(space, new_streams);
         }
-        // Cutting-plane rounds: in lazy-acyclicity mode the branch & bound
-        // rejects acausal incumbents; the cuts they violate are added and
-        // the model re-solved so the true optimum is not lost to pruning.
-        // (The incremental path accumulates its cuts in the cache instead —
-        // they stay valid for every later submission.)
-        let mut cuts: Vec<AvailabilityCut> = Vec::new();
-        let max_rounds = if self.config.acyclicity == AcyclicityMode::Lazy {
-            3
-        } else {
-            1
+        incremental
+    }
+
+    /// Stage 1 — build or extend: grows the persistent skeleton (building
+    /// it on first use) by the round's plan space, cuts and query-log
+    /// entries, re-applies the §IV-A reduction, and refreshes the LP
+    /// cache's fold exemptions.
+    fn extend_skeleton(
+        &self,
+        cache: Option<ModelCache>,
+        log: Vec<(QueryId, PlanSpace)>,
+        space: &PlanSpace,
+        new_streams: &[StreamId],
+        cuts: &mut Vec<AvailabilityCut>,
+    ) -> ModelCache {
+        let mut cache = match cache {
+            None => ModelCache {
+                model: self.build_model(space, new_streams, cuts),
+                space: space.clone(),
+                cuts: cuts.clone(),
+                sig: CacheSig::of(&self.config),
+                query_log: log,
+            },
+            Some(mut cache) => {
+                cache.query_log.extend(log);
+                cache.space.merge(space);
+                for c in cuts.drain(..) {
+                    if !cache.cuts.contains(&c) {
+                        cache.cuts.push(c);
+                    }
+                }
+                let inputs = self.model_inputs(&cache.space, new_streams, &cache.cuts);
+                cache.model.extend(&inputs);
+                cache
+                    .model
+                    .apply_reduction(space, &self.state, &self.catalog);
+                cache
+            }
         };
-        let mut round = 0;
-        let mut warm: Option<Vec<f64>> = None;
-        let mut admitting_start = false;
-        let mut warm_ready = false;
-        // Node deadline accounting across cut rounds: the deadline is per
-        // *planning round* (submission), not per construction.
-        let mut nodes_spent = 0usize;
-        loop {
-            round += 1;
-            let last_round = round >= max_rounds;
-            let fresh_model;
-            let model: &PlanningModel = if incremental {
-                // Build or extend on the *owned* cache (taken out of the
-                // context) so no panicking re-borrow is needed afterwards;
-                // `Option::insert` hands the final shared borrow back.
-                let mut cache = match self.ctx.cache.take() {
-                    None => ModelCache {
-                        model: self.build_model(space, new_streams, &cuts),
-                        space: space.clone(),
-                        cuts: cuts.clone(),
-                        sig: sig.clone(),
-                        query_log: log_entry(q, space),
-                    },
-                    Some(mut cache) => {
-                        if round == 1 {
-                            cache.query_log.extend(log_entry(q, space));
-                        }
-                        cache.space.merge(space);
-                        for c in cuts.drain(..) {
-                            if !cache.cuts.contains(&c) {
-                                cache.cuts.push(c);
-                            }
-                        }
-                        cache.model.extend(&ModelInputs {
-                            catalog: &self.catalog,
-                            state: &self.state,
-                            space: &cache.space,
-                            new_streams,
-                            weights: self.config.weights,
-                            relay_policy: self.config.relay_policy,
-                            acyclicity: self.config.acyclicity,
-                            replan: self.config.replan,
-                            cuts: &cache.cuts,
-                        });
-                        cache
-                            .model
-                            .apply_reduction(space, &self.state, &self.catalog);
-                        cache
-                    }
-                };
-                // Compression hint for the LP cache: keep recently
-                // rejected queries' columns unfolded — they are the
-                // re-planning targets, and re-freeing a *folded* column is
-                // the one bound change the cache cannot patch. The recency
-                // window bounds the compression loss; admitted and
-                // current-round-pending logs resolve via the live
-                // deployment, so the exempt set shrinks as queries land.
-                let window = self.config.lp_keep_rejected_free_window;
-                if window > 0 {
-                    let start = cache.query_log.len().saturating_sub(window);
-                    let rejected = cache.query_log[start..]
-                        .iter()
-                        .filter(|(lq, _)| !self.state.admitted().contains_key(lq))
-                        .map(|(_, sp)| sp);
-                    cache.model.set_fold_exemptions(rejected);
-                }
-                self.ctx.cache = Some(cache);
-                match self.ctx.cache.as_ref() {
-                    Some(c) => &c.model,
-                    // Just assigned; kept panic-free with a cold fallback.
-                    None => {
-                        fresh_model = self.build_model(space, new_streams, &cuts);
-                        &fresh_model
-                    }
-                }
-            } else {
-                fresh_model = self.build_model(space, new_streams, &cuts);
-                &fresh_model
-            };
-
-            // Warm starts: prefer a constructively *admitting* start (greedy,
-            // reuse-aware); otherwise fall back to the current deployment
-            // (non-admitting but always feasible thanks to IV.9). Computed
-            // once per submission: later cut rounds only append availability
-            // cut rows, which any causal start satisfies by construction, so
-            // the vector (variable-indexed, and cuts add no variables) stays
-            // valid verbatim.
-            if !warm_ready {
-                warm_ready = true;
-                if self.config.warm_start {
-                    // Note: in the reuse-off ablation batch submissions use a
-                    // sentinel query id, so the tag misses the per-query
-                    // private streams and construction falls back to the
-                    // non-admitting start (graceful degradation; B&B still
-                    // searches).
-                    let tag = if self.config.reuse {
-                        0
-                    } else {
-                        u64::from(q.0) + 1
-                    };
-                    let mut cand = self.state.clone();
-                    let mut all_ok = true;
-                    for &s in new_streams {
-                        match greedy_admit(&self.catalog, &cand, s, tag) {
-                            Some(next) => cand = next,
-                            None => {
-                                all_ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    warm = if all_ok {
-                        let w = model.warm_start(&cand, &self.catalog);
-                        if let Some(w) = &w {
-                            if model.milp.is_feasible(w, 1e-6) {
-                                admitting_start = true;
-                            }
-                        }
-                        if admitting_start {
-                            w
-                        } else {
-                            model.warm_start(&self.state, &self.catalog)
-                        }
-                    } else {
-                        model.warm_start(&self.state, &self.catalog)
-                    };
-                }
-                debug_assert!(
-                    warm.as_ref()
-                        .is_none_or(|w| model.milp.is_feasible(w, 1e-6)),
-                    "warm start must be feasible"
-                );
-            }
-
-            // Big-M acyclicity rows make the relaxations heavily degenerate;
-            // the perturbation cuts simplex iteration counts several-fold
-            // (on top of the Harris/long-step ratio tests, which attack the
-            // same degeneracy from the ratio-test side).
-            let lp_opts = sqpr_lp::SimplexOptions {
-                perturb: 1e-7,
-                ratio_test: self.config.lp_ratio_test,
-                pricing: self.config.lp_pricing,
-                basis_update: self.config.lp_basis_update,
-                ..sqpr_lp::SimplexOptions::default()
-            };
-            let opts = MilpOptions {
-                // With an admitting incumbent, λ1-dominance means the incumbent
-                // is within the MIP gap after a handful of nodes; reserve the
-                // full budget for the hard case where construction failed
-                // (resource-tight systems — exactly the paper's Fig. 6 regime).
-                max_nodes: if admitting_start {
-                    self.config
-                        .budget
-                        .max_nodes
-                        .min(self.config.improve_nodes.max(1))
-                } else {
-                    self.config.budget.max_nodes
-                },
-                time_limit: self.config.budget.wall_clock_ms.map(Duration::from_millis),
-                gap_tol: self.config.gap_tol,
-                int_tol: 1e-6,
-                // Dives are expensive (one LP per fixing); with an admitting
-                // incumbent in hand they rarely pay off.
-                dive_every: if admitting_start { 0 } else { 16 },
-                // Without an admitting start, the only improvement worth
-                // finding is an admission (non-admitting results are
-                // discarded below — `install` is gated on `admits_any`),
-                // and λ1-dominance prices one admission at λ1 minus a
-                // bounded resource swing. Pruning everything within half an
-                // admission of the incumbent turns rejection proofs from
-                // full budget burns into a handful of nodes; admitting
-                // solutions beat the incumbent by more than the margin, so
-                // admit/reject decisions are untouched. With an admitting
-                // start the solve is a placement-quality improvement pass,
-                // where sub-λ1 gains are exactly the point — no margin.
-                cutoff_margin: if admitting_start {
-                    0.0
-                } else {
-                    0.5 * self.config.weights.lambda1
-                },
-                presolve: true,
-                // In-tree parent-basis reuse is model-local and valid for
-                // every config, so it follows the ablation flag directly
-                // (not `incremental`): configs that merely fall back to
-                // fresh builds (replan=false) keep it, while
-                // `reuse_solver_context = false` is the full cold-start
-                // path (fresh model, every LP from the slack identity).
-                reuse_bases: self.config.reuse_solver_context,
-                cross_solve_factors: self.config.lp_cross_solve_factors,
-                threads: self.config.lp_threads,
-                lp: lp_opts,
-            };
-            let new_cuts: std::cell::RefCell<Vec<AvailabilityCut>> =
-                std::cell::RefCell::new(Vec::new());
-            let warm_ctx = MilpWarmStart {
-                start: warm.as_deref(),
-                // The previous submission's root basis: the skeleton only
-                // appended columns/rows since, so it adapts in place.
-                root_basis: if incremental {
-                    self.ctx.root_basis.as_ref()
-                } else {
-                    None
-                },
-            };
-            // Every construction is driven through the preemptible solver
-            // (the classic entry points are wrappers over it): sliced by
-            // `node_quantum`, bounded by the round's remaining node
-            // deadline, and observing the recovery storm's wall deadline
-            // between slices.
-            let node_budget = if deadline_bounded && self.config.node_quantum > 0 {
-                self.config
-                    .round_deadline
-                    .map(|d| d.saturating_sub(nodes_spent))
-            } else {
-                None
-            };
-            let solved = {
-                let filter_fn = |xsol: &[f64]| {
-                    let violated = model.find_acausal_cuts(xsol, &self.state, &self.catalog);
-                    if violated.is_empty() {
-                        true
-                    } else {
-                        new_cuts.borrow_mut().extend(violated);
-                        false
-                    }
-                };
-                let filter: Option<IncumbentFilter<'_>> =
-                    if self.config.acyclicity == AcyclicityMode::Lazy {
-                        Some(&filter_fn)
-                    } else {
-                        None
-                    };
-                // The compressed LP is served from the context's cache when
-                // incremental: later cut rounds append their rows in place
-                // and later submissions with an unchanged fixed layout
-                // patch only bounds, removing the per-construction
-                // skeleton scan.
-                let cache = if incremental {
-                    Some(&mut self.ctx.lp_cache)
-                } else {
-                    None
-                };
-                drive_preemptible(
-                    &model.milp,
-                    &opts,
-                    warm_ctx,
-                    filter,
-                    cache,
-                    self.config.node_quantum,
-                    node_budget,
-                    self.wall_deadline,
-                )
-            };
-            let mut parked_state: Option<Box<SearchState>> = None;
-            let mut deadline_preempt = false;
-            let mut preempted = false;
-            let result = match solved {
-                RoundSolve::Done(r) => r,
-                RoundSolve::Preempted(state, cause) => {
-                    // The search is still open past its deadline: continue
-                    // with the anytime incumbent snapshot (always causal —
-                    // the filter gates incumbents). On a node deadline the
-                    // suspended search is kept so a non-admitting round can
-                    // be parked for the admission queue; a wall-clock
-                    // expiry (recovery storm) drops it — recovery has its
-                    // own degradation ladder.
-                    preempted = true;
-                    let snap = state.incumbent_result();
-                    if cause == PreemptCause::NodeDeadline {
-                        deadline_preempt = true;
-                        parked_state = Some(state);
-                    }
-                    snap
-                }
-            };
-            nodes_spent += result.nodes;
-            // If acausal candidates were pruned, the claimed optimum may be
-            // wrong: add their cuts and re-solve (unless out of rounds).
-            let mut fresh = new_cuts.into_inner();
-            match &self.ctx.cache {
-                Some(cache) if incremental => fresh.retain(|c| !cache.cuts.contains(c)),
-                _ => fresh.retain(|c| !cuts.contains(c)),
-            }
-            if incremental {
-                if result.root_basis.is_some() {
-                    self.ctx.root_basis = result.root_basis.clone();
-                } else if !preempted {
-                    // A preempted snapshot carries no root basis; keep the
-                    // previous one rather than cold-starting the next round.
-                    self.ctx.root_basis = None;
-                }
-            }
-            if !fresh.is_empty() && !last_round && !preempted {
-                cuts.extend(fresh);
-                continue;
-            }
-
-            let mut admitted = false;
-            if let Some(x) = &result.x {
-                let admits_any = new_streams.iter().any(|&s| model.admits(x, s));
-                if admits_any {
-                    // Install the re-planned allocation; keep the old one if the
-                    // decoded state is somehow invalid (defensive).
-                    let decoded = model.decode(x, &self.state);
-                    let mut candidate = self.state.clone();
-                    decoded.install(&mut candidate);
-                    if candidate.is_valid(&self.catalog) {
-                        // Check every previously admitted query is still served
-                        // (IV.9 must have enforced this).
-                        let all_served = candidate_serves_admitted(&candidate);
-                        if all_served {
-                            self.state = candidate;
-                            admitted = new_streams
-                                .iter()
-                                .all(|&s| self.state.provider_of(s).is_some());
-                        }
-                    }
-                }
-            }
-
-            let verdict = if deadline_preempt {
-                if admitted {
-                    // Incumbent handoff: the submission is served at the
-                    // deadline; optimality is deliberately forfeited and
-                    // the suspended search dropped.
-                    RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-                } else {
-                    // No admitting incumbent at the deadline: park the
-                    // suspended search (with the model its solution vector
-                    // indexes) for the admission queue's bounded retries.
-                    // The rejection is provisional, not a certificate.
-                    // Batch rounds (sentinel id) are never parked — their
-                    // members cannot be resumed individually.
-                    if q.0 != u32::MAX {
-                        if let Some(state) = parked_state.take() {
-                            self.preempt = Some(PreemptedRound {
-                                query: q,
-                                streams: new_streams.to_vec(),
-                                model: model.clone(),
-                                state,
-                            });
-                        }
-                    }
-                    RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
-                }
-            } else {
-                RoundVerdict::of_result(admitted, result.status)
-            };
-            return PlanningOutcome {
-                query: q,
-                admitted,
-                reused_existing: false,
-                nodes: result.nodes,
-                lp_iterations: result.lp_iterations,
-                lp_pivots: result.lp_pivots,
-                gap: result.gap,
-                solve_time: started.elapsed(),
-                model_vars: model.num_vars(),
-                model_cons: model.num_cons(),
-                proved_optimal: result.status == MilpStatus::Optimal,
-                status: result.status,
-                incremental,
-                lp_cache: self.ctx.lp_cache.stats().since(&cache_stats_before),
-                verdict,
-            };
+        // Compression hint for the LP cache: keep recently rejected
+        // queries' columns unfolded — they are the re-planning targets, and
+        // re-freeing a *folded* column is the one bound change the cache
+        // cannot patch. The recency window bounds the compression loss;
+        // admitted and current-round-pending logs resolve via the live
+        // deployment, so the exempt set shrinks as queries land.
+        let window = self.config.lp_keep_rejected_free_window;
+        if window > 0 {
+            let start = cache.query_log.len().saturating_sub(window);
+            let rejected = cache.query_log[start..]
+                .iter()
+                .filter(|(lq, _)| !self.state.admitted().contains_key(lq))
+                .map(|(_, sp)| sp);
+            cache.model.set_fold_exemptions(rejected);
         }
+        cache
+    }
+
+    /// Stage 2 — warm start: prefers a constructively *admitting* start
+    /// (greedy, reuse-aware); otherwise falls back to the current
+    /// deployment (non-admitting but always feasible thanks to IV.9).
+    /// Returns the start and whether it admits. Computed once per
+    /// submission: later cut rounds only append availability cut rows,
+    /// which any causal start satisfies by construction, so the vector
+    /// (variable-indexed, and cuts add no variables) stays valid verbatim.
+    fn warm_start(
+        &self,
+        model: &PlanningModel,
+        q: QueryId,
+        new_streams: &[StreamId],
+    ) -> (Option<Vec<f64>>, bool) {
+        if !self.config.warm_start {
+            return (None, false);
+        }
+        // Note: in the reuse-off ablation batch submissions use a sentinel
+        // query id, so the tag misses the per-query private streams and
+        // construction falls back to the non-admitting start (graceful
+        // degradation; B&B still searches).
+        let tag = self.reuse_tag(q);
+        let admitting = new_streams
+            .iter()
+            .try_fold(self.state.clone(), |cand, &s| {
+                greedy_admit(&self.catalog, &cand, s, tag)
+            })
+            .and_then(|cand| model.warm_start(&cand, &self.catalog))
+            .filter(|w| model.milp.is_feasible(w, 1e-6));
+        if admitting.is_some() {
+            return (admitting, true);
+        }
+        let warm = model.warm_start(&self.state, &self.catalog);
+        debug_assert!(
+            warm.as_ref()
+                .is_none_or(|w| model.milp.is_feasible(w, 1e-6)),
+            "warm start must be feasible"
+        );
+        (warm, false)
+    }
+
+    /// Stage 4 — drive slices: runs the round's search in
+    /// `node_quantum`-node slices, suspending strictly between node
+    /// evaluations, until it completes, reaches `target` nodes done (the
+    /// deterministic node deadline, counted like
+    /// [`SearchState::nodes_done`]) or passes the wall deadline
+    /// (best-effort — the clock is only read between slices). A parked
+    /// search always gets its first slice before the deadlines are read.
+    /// `node_quantum = 0` means unsliced; without a target or wall deadline
+    /// the sliced run completes with bit-identical results to the unsliced
+    /// one (the `SQPR_NODE_QUANTUM` transparency invariant CI fuzzes).
+    fn drive(
+        &mut self,
+        model: &PlanningModel,
+        opening: Opening<'_>,
+        target: Option<usize>,
+    ) -> Solved {
+        let found = RefCell::new(Vec::new());
+        let filter_fn = |x: &[f64]| {
+            let violated = model.find_acausal_cuts(x, &self.state, &self.catalog);
+            let causal = violated.is_empty();
+            found.borrow_mut().extend(violated);
+            causal
+        };
+        let filter: Option<IncumbentFilter<'_>> = if self.config.acyclicity == AcyclicityMode::Lazy
+        {
+            Some(&filter_fn)
+        } else {
+            None
+        };
+        let quantum = match self.config.node_quantum {
+            0 => usize::MAX,
+            q => q,
+        };
+        // A slice never runs past the target, so the deadline is observed
+        // exactly (a target of 0 suspends before the first evaluation).
+        let slice = |done: usize| match target {
+            Some(t) => quantum.min(t.saturating_sub(done)),
+            None => quantum,
+        };
+        let (mut state, mut owed_slice) = match opening {
+            Opening::Fresh {
+                opts,
+                start,
+                incremental,
+            } => {
+                // The previous submission's root basis (the skeleton only
+                // appended columns/rows since, so it adapts in place), and
+                // the context's compressed-LP cache: later cut rounds
+                // append their rows in place and later submissions with an
+                // unchanged fixed layout patch only bounds.
+                let warm = MilpWarmStart {
+                    start,
+                    root_basis: self.ctx.root_basis.as_ref().filter(|_| incremental),
+                };
+                let cache = incremental.then_some(&mut self.ctx.lp_cache);
+                match solve_preemptible(&model.milp, opts, warm, filter, cache, slice(0)) {
+                    SolveOutcome::Done(result) => {
+                        let cuts = found.take();
+                        return Solved {
+                            result,
+                            open: None,
+                            cuts,
+                        };
+                    }
+                    SolveOutcome::Suspended(state) => (state, false),
+                }
+            }
+            Opening::Parked(state) => (state, true),
+        };
+        let open = loop {
+            let done = state.nodes_done();
+            if !owed_slice {
+                if target.is_some_and(|t| done >= t) {
+                    break (state, PreemptCause::NodeDeadline);
+                }
+                // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
+                if self.wall_deadline.is_some_and(|d| Instant::now() >= d) {
+                    break (state, PreemptCause::WallClock);
+                }
+            }
+            owed_slice = false;
+            match state.resume(filter, slice(done)) {
+                SolveOutcome::Done(result) => {
+                    let cuts = found.take();
+                    return Solved {
+                        result,
+                        open: None,
+                        cuts,
+                    };
+                }
+                SolveOutcome::Suspended(next) => state = next,
+            }
+        };
+        Solved {
+            result: open.0.incumbent_result(),
+            open: Some(open),
+            cuts: found.take(),
+        }
+    }
+
+    /// Stage 5 — settle: installs the round's solution if it admits any of
+    /// `streams` and decodes to a valid deployment that still serves every
+    /// admitted query (IV.9 must have enforced both; the gates are
+    /// defensive), admits the query, and records the verdict. A search
+    /// still `open` at a deadline either hands off its admitting incumbent
+    /// (optimality deliberately forfeited, the search dropped) or comes
+    /// back as a [`PreemptedRound`] — with the model its solution vector
+    /// indexes — for the admission queue's bounded retries: the rejection
+    /// is provisional, not a certificate. Batch rounds (sentinel id) are
+    /// never parked — their members cannot be resumed individually — and
+    /// [`Self::submit_batch`] admits their members.
+    fn settle(
+        &mut self,
+        q: QueryId,
+        streams: Cow<'_, [StreamId]>,
+        model: Cow<'_, PlanningModel>,
+        result: MilpResult,
+        open: Option<Box<SearchState>>,
+        started: Instant,
+    ) -> (PlanningOutcome, Option<PreemptedRound>) {
+        let mut admitted = false;
+        if let Some(x) = &result.x {
+            if streams.iter().any(|&s| model.admits(x, s)) {
+                let decoded = model.decode(x, &self.state);
+                let mut candidate = self.state.clone();
+                decoded.install(&mut candidate);
+                if candidate.is_valid(&self.catalog) && candidate_serves_admitted(&candidate) {
+                    self.state = candidate;
+                    admitted = streams.iter().all(|&s| self.state.provider_of(s).is_some());
+                }
+            }
+        }
+        let batch = q == BATCH_ROUND;
+        if admitted && !batch {
+            for &s in streams.iter() {
+                self.state.admit_query(q, s);
+            }
+        }
+        let verdict = match (&open, admitted) {
+            (Some(_), true) => RoundVerdict::Admitted(Admitted::IncumbentAtDeadline),
+            (Some(_), false) => RoundVerdict::Rejected(Rejected::DeadlineNoCertificate),
+            (None, _) => RoundVerdict::of_result(admitted, result.status),
+        };
+        let outcome = PlanningOutcome {
+            query: q,
+            admitted,
+            reused_existing: false,
+            nodes: result.nodes,
+            lp_iterations: result.lp_iterations,
+            lp_pivots: result.lp_pivots,
+            gap: result.gap,
+            solve_time: started.elapsed(),
+            model_vars: model.num_vars(),
+            model_cons: model.num_cons(),
+            proved_optimal: result.status == MilpStatus::Optimal,
+            status: result.status,
+            incremental: false,
+            lp_cache: CacheStats::default(),
+            verdict,
+        };
+        let parked = open
+            .filter(|_| !admitted && !batch)
+            .map(|state| PreemptedRound {
+                query: q,
+                streams: streams.into_owned(),
+                model: model.into_owned(),
+                state,
+            });
+        (outcome, parked)
     }
 
     /// Grants a parked round more search budget: `budget` further branch &
     /// bound nodes (`None` = run to completion), sliced by `node_quantum`.
-    /// On completion the result is decoded against the *parked* model and
-    /// installed under the same defensive gates as a live round. At another
-    /// deadline expiry the admitting incumbent is installed if there is
+    /// The result settles against the *parked* model under the same
+    /// defensive gates as a live round. At another deadline expiry — node
+    /// or wall clock — the admitting incumbent is installed if there is
     /// one; otherwise the round is handed back still suspended.
     ///
     /// Availability cuts discovered while resuming are *dropped* — the
@@ -1099,111 +1087,14 @@ impl SqprPlanner {
             model,
             state,
         } = round;
-        let base = state.nodes_done();
-        let target = budget.map(|b| base.saturating_add(b));
-        let quantum = if self.config.node_quantum == 0 {
-            usize::MAX
-        } else {
-            self.config.node_quantum
-        };
-        let slice = |done: usize| match target {
-            Some(t) => quantum.min(t.saturating_sub(done)),
-            None => quantum,
-        };
-        let solved = {
-            let filter_fn = |xsol: &[f64]| {
-                model
-                    .find_acausal_cuts(xsol, &self.state, &self.catalog)
-                    .is_empty()
-            };
-            let filter: Option<IncumbentFilter<'_>> =
-                if self.config.acyclicity == AcyclicityMode::Lazy {
-                    Some(&filter_fn)
-                } else {
-                    None
-                };
-            let mut outcome = state.resume(filter, slice(base));
-            loop {
-                match outcome {
-                    SolveOutcome::Done(r) => break RoundSolve::Done(r),
-                    SolveOutcome::Suspended(state) => {
-                        let done = state.nodes_done();
-                        if target.is_some_and(|t| done >= t) {
-                            break RoundSolve::Preempted(state, PreemptCause::NodeDeadline);
-                        }
-                        // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
-                        if self.wall_deadline.is_some_and(|d| Instant::now() >= d) {
-                            break RoundSolve::Preempted(state, PreemptCause::WallClock);
-                        }
-                        outcome = state.resume(filter, slice(done));
-                    }
-                }
-            }
-        };
-        let mut parked_state: Option<Box<SearchState>> = None;
-        let mut deadline_preempt = false;
-        let result = match solved {
-            RoundSolve::Done(r) => r,
-            RoundSolve::Preempted(state, _) => {
-                deadline_preempt = true;
-                let snap = state.incumbent_result();
-                parked_state = Some(state);
-                snap
-            }
-        };
-
-        let mut admitted = false;
-        if let Some(x) = &result.x {
-            if streams.iter().any(|&s| model.admits(x, s)) {
-                let decoded = model.decode(x, &self.state);
-                let mut candidate = self.state.clone();
-                decoded.install(&mut candidate);
-                if candidate.is_valid(&self.catalog) && candidate_serves_admitted(&candidate) {
-                    self.state = candidate;
-                    admitted = streams.iter().all(|&s| self.state.provider_of(s).is_some());
-                }
-            }
+        let target = budget.map(|b| state.nodes_done().saturating_add(b));
+        let Solved { result, open, .. } = self.drive(&model, Opening::Parked(state), target);
+        let open = open.map(|(state, _)| state);
+        let streams = Cow::Owned(streams);
+        match self.settle(query, streams, Cow::Owned(model), result, open, started) {
+            (_, Some(round)) => ResumeOutcome::StillOpen(round),
+            (outcome, None) => ResumeOutcome::Resolved(outcome),
         }
-        if admitted {
-            for &s in &streams {
-                if self.state.provider_of(s).is_some() {
-                    self.state.admit_query(query, s);
-                }
-            }
-        } else if deadline_preempt {
-            if let Some(state) = parked_state.take() {
-                return ResumeOutcome::StillOpen(PreemptedRound {
-                    query,
-                    streams,
-                    model,
-                    state,
-                });
-            }
-        }
-
-        let verdict = if deadline_preempt {
-            debug_assert!(admitted, "non-admitting deadline expiry re-parks above");
-            RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-        } else {
-            RoundVerdict::of_result(admitted, result.status)
-        };
-        ResumeOutcome::Resolved(PlanningOutcome {
-            query,
-            admitted,
-            reused_existing: false,
-            nodes: result.nodes,
-            lp_iterations: result.lp_iterations,
-            lp_pivots: result.lp_pivots,
-            gap: result.gap,
-            solve_time: started.elapsed(),
-            model_vars: model.num_vars(),
-            model_cons: model.num_cons(),
-            proved_optimal: result.status == MilpStatus::Optimal,
-            status: result.status,
-            incremental: false,
-            lp_cache: CacheStats::default(),
-            verdict,
-        })
     }
 
     /// Updates a base stream's observed rate (propagating to derived
@@ -1212,17 +1103,6 @@ impl SqprPlanner {
     pub fn update_base_rate(&mut self, s: StreamId, rate: f64) {
         self.catalog.update_base_rate(s, rate);
         self.invalidate_solver_context();
-    }
-
-    /// Registers a mirrored base stream at `host` (used by the hierarchical
-    /// planner to model cross-site feeds arriving at a site gateway).
-    pub fn register_mirrored_base(
-        &mut self,
-        host: sqpr_dsps::HostId,
-        rate: f64,
-        source_tag: u64,
-    ) -> StreamId {
-        self.catalog.add_base_stream(host, rate, source_tag)
     }
 
     /// Removes a query; garbage-collects allocation pieces that no longer
@@ -1369,21 +1249,11 @@ impl SqprPlanner {
             .ok_or(PlannerError::UnknownQuery(q))?;
         self.remove_query(q);
         let bases: Vec<StreamId> = spec.bases.iter().copied().collect();
-        let tag = self.reuse_tag(q);
-        let (spec2, space) = register_join_query(&mut self.catalog, q, &bases, tag);
-        if self.state.provider_of(spec2.result).is_some() {
-            self.state.admit_query(q, spec2.result);
-            return Ok(short_circuit_outcome(q));
-        }
         // Replans (adaptation, recovery, retries) run deadline-free: the
         // admission SLO covers fresh submissions; internal re-planning has
         // its own budgets (`StormBudget`, drift thresholds) and must never
         // leave a parked round behind the admission queue's back.
-        let outcome = self.plan_streams(q, &[spec2.result], &space, false);
-        if outcome.admitted {
-            self.state.admit_query(q, spec2.result);
-        }
-        Ok(outcome)
+        Ok(self.register_and_plan(q, &bases, false).1)
     }
 }
 
@@ -1409,13 +1279,62 @@ fn short_circuit_outcome(q: QueryId) -> PlanningOutcome {
     }
 }
 
-/// Query-log entry for the skeleton's liveness bookkeeping; batch rounds
-/// use a sentinel id and are logged per member by [`SqprPlanner::submit_batch`].
-fn log_entry(q: QueryId, space: &PlanSpace) -> Vec<(QueryId, PlanSpace)> {
-    if q.0 == u32::MAX {
-        Vec::new()
-    } else {
-        vec![(q, space.clone())]
+/// Stage 3 — options: the branch & bound options of a planning round,
+/// given whether its warm start admits.
+fn milp_options(config: &PlannerConfig, admitting_start: bool) -> MilpOptions {
+    // Big-M acyclicity rows make the relaxations heavily degenerate; the
+    // perturbation cuts simplex iteration counts several-fold (on top of
+    // the Harris/long-step ratio tests, which attack the same degeneracy
+    // from the ratio-test side).
+    let lp = sqpr_lp::SimplexOptions {
+        perturb: 1e-7,
+        ratio_test: config.lp_ratio_test,
+        pricing: config.lp_pricing,
+        basis_update: config.lp_basis_update,
+        ..sqpr_lp::SimplexOptions::default()
+    };
+    MilpOptions {
+        // With an admitting incumbent, λ1-dominance means the incumbent is
+        // within the MIP gap after a handful of nodes; reserve the full
+        // budget for the hard case where construction failed
+        // (resource-tight systems — exactly the paper's Fig. 6 regime).
+        max_nodes: if admitting_start {
+            config.budget.max_nodes.min(config.improve_nodes.max(1))
+        } else {
+            config.budget.max_nodes
+        },
+        time_limit: config.budget.wall_clock_ms.map(Duration::from_millis),
+        gap_tol: config.gap_tol,
+        int_tol: 1e-6,
+        // Dives are expensive (one LP per fixing); with an admitting
+        // incumbent in hand they rarely pay off.
+        dive_every: if admitting_start { 0 } else { 16 },
+        // Without an admitting start, the only improvement worth finding
+        // is an admission (non-admitting results are discarded — `settle`
+        // installs only on `admits`), and λ1-dominance prices one
+        // admission at λ1 minus a bounded resource swing. Pruning
+        // everything within half an admission of the incumbent turns
+        // rejection proofs from full budget burns into a handful of nodes;
+        // admitting solutions beat the incumbent by more than the margin,
+        // so admit/reject decisions are untouched. With an admitting start
+        // the solve is a placement-quality improvement pass, where sub-λ1
+        // gains are exactly the point — no margin.
+        cutoff_margin: if admitting_start {
+            0.0
+        } else {
+            0.5 * config.weights.lambda1
+        },
+        presolve: true,
+        // In-tree parent-basis reuse is model-local and valid for every
+        // config, so it follows the ablation flag directly (not
+        // `incremental`): configs that merely fall back to fresh builds
+        // (replan=false) keep it, while `reuse_solver_context = false` is
+        // the full cold-start path (fresh model, every LP from the slack
+        // identity).
+        reuse_bases: config.reuse_solver_context,
+        cross_solve_factors: config.lp_cross_solve_factors,
+        threads: config.lp_threads,
+        lp,
     }
 }
 

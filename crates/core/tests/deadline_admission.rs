@@ -11,11 +11,14 @@
 //!   queue — never silently dropped — and a drained system converges to
 //!   the same admit set as the deadline-free run.
 //! - **Wall-clock preemption**: an expired wall deadline stops a round at
-//!   the next node boundary (the storm-budget fix).
+//!   the next node boundary (the storm-budget fix). A fresh round drops its
+//!   search there; a resumed one keeps it parked.
 
 use std::time::{Duration, Instant};
 
-use sqpr_core::{AdmissionQueue, Admitted, PlannerConfig, Rejected, RoundVerdict, SqprPlanner};
+use sqpr_core::{
+    AdmissionPath, AdmissionQueue, Admitted, PlannerConfig, Rejected, RoundVerdict, SqprPlanner,
+};
 use sqpr_dsps::{Catalog, CostModel, HostId, HostSpec, QueryId, StreamId};
 
 fn system(
@@ -202,4 +205,61 @@ fn expired_wall_deadline_preempts_at_first_node_boundary() {
     );
     assert!(planner.state().is_valid(planner.catalog()));
     planner.set_wall_deadline(None);
+}
+
+/// A resumed round treats an expired wall deadline unlike a fresh one: it
+/// keeps its suspended search (the fresh round above drops it) and either
+/// hands off an admitting incumbent or goes back to the queue still open.
+/// `drain` then resolves what is left through the greedy rung — an
+/// unbounded resume still stops at the wall deadline — with one ledger
+/// record per submission.
+#[test]
+fn expired_wall_deadline_keeps_resumed_rounds_open() {
+    let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
+    let mut cfg = PlannerConfig::new(&c);
+    cfg.budget.max_nodes = 200;
+    cfg.lp_threads = 1;
+    cfg.node_quantum = 1;
+    cfg.round_deadline = Some(2);
+    let mut planner = SqprPlanner::new(c, cfg);
+    let mut queue = AdmissionQueue::new();
+    for q in &submissions() {
+        let streams: Vec<_> = q.iter().map(|&i| b[i]).collect();
+        queue.submit(&mut planner, &streams).expect("valid bases");
+    }
+    let parked = queue.parked();
+    assert!(parked > 0, "no submission was parked; the test is vacuous");
+
+    planner.set_wall_deadline(Some(Instant::now() - Duration::from_secs(1)));
+    let resolved = queue.pump(&mut planner);
+    for o in &resolved {
+        assert_eq!(
+            o.verdict,
+            RoundVerdict::Admitted(Admitted::IncumbentAtDeadline),
+            "query {:?} resolved past an expired wall deadline without an incumbent handoff",
+            o.query
+        );
+    }
+    assert_eq!(queue.parked() + resolved.len(), parked);
+    assert!(
+        queue.parked() > 0,
+        "every resumed round resolved; the test is vacuous"
+    );
+
+    let open = queue.parked();
+    let before = queue.records().len();
+    queue.drain(&mut planner);
+    assert_eq!(queue.parked(), 0, "drain left submissions parked");
+    let drained = &queue.records()[before..];
+    assert_eq!(drained.len(), open);
+    for r in drained {
+        assert_eq!(r.path, AdmissionPath::GreedyInstall, "{r:?}");
+        assert_eq!(r.attempts, 2, "{r:?}");
+    }
+    let subs = submissions().len();
+    let mut seen: Vec<u32> = queue.records().iter().map(|r| r.query.0).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..subs as u32).collect::<Vec<_>>());
+    planner.set_wall_deadline(None);
+    assert!(planner.state().is_valid(planner.catalog()));
 }

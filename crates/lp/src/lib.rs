@@ -1,8 +1,9 @@
 //! # sqpr-lp
 //!
 //! A self-contained sparse linear-programming solver: bounded-variable
-//! revised primal simplex with sparse LU basis factorisation and
-//! product-form-of-inverse updates.
+//! revised primal and dual simplex with sparse LU basis factorisation and
+//! Forrest–Tomlin updates (the product-form-of-inverse eta file is kept as
+//! the [`BasisUpdate::ProductForm`] ablation).
 //!
 //! This crate exists because the SQPR reproduction needs a MILP solver (the
 //! paper uses CPLEX) and no LP/MILP engine is available in the sanctioned

@@ -432,83 +432,22 @@ pub struct MilpWarmStart<'a> {
 
 /// Solves the model by branch & bound.
 pub fn solve(model: &Model, opts: &MilpOptions) -> MilpResult {
-    solve_with_start(model, opts, None)
+    run_bnb(model, opts, MilpWarmStart::default(), None)
 }
 
-/// Solves the model, optionally seeded with a known-feasible starting point
-/// (used by SQPR to warm-start from the heuristic planner's plan).
-pub fn solve_with_start(model: &Model, opts: &MilpOptions, start: Option<&[f64]>) -> MilpResult {
-    solve_warm(
-        model,
-        opts,
-        MilpWarmStart {
-            start,
-            root_basis: None,
-        },
-    )
-}
-
-/// Solves the model with the full warm-start context: incumbent seed plus
-/// root-LP basis reuse.
-pub fn solve_warm(model: &Model, opts: &MilpOptions, warm: MilpWarmStart<'_>) -> MilpResult {
-    run_bnb(model, opts, warm, None, None)
-}
-
-/// [`solve_warm`] with a caller-held compressed-LP cache: the relaxation is
-/// served from `cache` (patched/appended in place when the model's layout
-/// is unchanged) instead of being re-lowered from scratch. See
-/// [`LpCacheSlot`].
-pub fn solve_warm_cached(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    cache: &mut LpCacheSlot,
-) -> MilpResult {
-    run_bnb(model, opts, warm, None, Some(cache))
-}
-
-/// Like [`solve_with_start`], with an *incumbent filter*: integral solutions
-/// the filter rejects are discarded instead of becoming incumbents. This is
-/// the lazy-constraint hook — side conditions that are expensive to encode
-/// as rows (e.g. SQPR's acyclicity) can be enforced on candidates only.
-/// The start point, if given, bypasses the filter (the caller vouches).
-pub fn solve_filtered(
-    model: &Model,
-    opts: &MilpOptions,
-    start: Option<&[f64]>,
-    filter: &dyn Fn(&[f64]) -> bool,
-) -> MilpResult {
-    solve_filtered_warm(
-        model,
-        opts,
-        MilpWarmStart {
-            start,
-            root_basis: None,
-        },
-        filter,
-    )
-}
-
-/// [`solve_filtered`] with the full warm-start context.
+/// Solves the model with the full warm-start context (incumbent seed plus
+/// root-LP basis reuse) and an *incumbent filter*: integral solutions the
+/// filter rejects are discarded instead of becoming incumbents. This is the
+/// lazy-constraint hook — side conditions that are expensive to encode as
+/// rows (e.g. SQPR's acyclicity) can be enforced on candidates only. The
+/// start point, if given, bypasses the filter (the caller vouches).
 pub fn solve_filtered_warm(
     model: &Model,
     opts: &MilpOptions,
     warm: MilpWarmStart<'_>,
     filter: &dyn Fn(&[f64]) -> bool,
 ) -> MilpResult {
-    run_bnb(model, opts, warm, Some(filter), None)
-}
-
-/// [`solve_filtered_warm`] with a caller-held compressed-LP cache; see
-/// [`solve_warm_cached`].
-pub fn solve_filtered_warm_cached(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: &dyn Fn(&[f64]) -> bool,
-    cache: &mut LpCacheSlot,
-) -> MilpResult {
-    run_bnb(model, opts, warm, Some(filter), Some(cache))
+    run_bnb(model, opts, warm, Some(filter))
 }
 
 /// Outcome of a preemptible solve slice: the search either ran to its
@@ -533,8 +472,8 @@ impl SolveOutcome {
     }
 }
 
-/// Preemptible counterpart of the `solve_*` family: runs at most `quantum`
-/// nodes, then suspends the search at the next node boundary into a
+/// Preemptible counterpart of [`solve`]: runs at most `quantum` nodes,
+/// then suspends the search at the next node boundary into a
 /// [`SearchState`] (resume with [`SearchState::resume`]). `quantum = 0`
 /// suspends before the first node (the root is pushed but unevaluated);
 /// `usize::MAX` never suspends. An uninterrupted run and *any* sequence of
@@ -542,13 +481,15 @@ impl SolveOutcome {
 /// objective bits at every [`MilpOptions::threads`] setting — see the
 /// module docs.
 ///
-/// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
-/// cached lowering, workspaces and factor token all survive, and later
-/// submissions may be served from it while the suspended state is parked.
-/// (The slot's detached factor cache is cleared — deterministically — so
-/// the next tree's root seed never depends on where mid-tree evaluation
-/// happened to run; that costs the next tree one root refactorisation,
-/// nothing else.)
+/// With `cache`, the relaxation is served from a caller-held compressed-LP
+/// cache (patched/appended in place when the model's layout is unchanged)
+/// instead of being re-lowered from scratch; see [`LpCacheSlot`]. A
+/// suspend leaves the slot fully valid: its cached lowering, workspaces
+/// and factor token all survive, and later submissions may be served from
+/// it while the suspended state is parked. (The slot's detached factor
+/// cache is cleared — deterministically — so the next tree's root seed
+/// never depends on where mid-tree evaluation happened to run; that costs
+/// the next tree one root refactorisation, nothing else.)
 pub fn solve_preemptible(
     model: &Model,
     opts: &MilpOptions,
@@ -557,40 +498,18 @@ pub fn solve_preemptible(
     cache: Option<&mut LpCacheSlot>,
     quantum: usize,
 ) -> SolveOutcome {
-    run_preemptible(model, opts, warm, filter, cache, quantum)
-}
-
-/// Backs the classic (non-preemptible) entry points.
-fn run_bnb(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
-) -> MilpResult {
-    match run_preemptible(model, opts, warm, filter, cache, usize::MAX) {
-        SolveOutcome::Done(r) => r,
-        // sqpr::allow(hot-path-panic): a usize::MAX quantum cannot exhaust, so Suspended is impossible by construction; there is no caller to surface it to
-        SolveOutcome::Suspended(_) => unreachable!("usize::MAX quantum never suspends"),
-    }
-}
-
-/// Backs every entry point: resolves the LP relaxation and workspaces
-/// (cached or fresh) on this stack frame, *outside* the search state — a
-/// worker scope inside [`Bnb::drive`] borrows the LP and options while the
-/// driver mutates the rest of the search, which an LP owned *by* the
-/// search state would forbid. On suspension the relaxation geometry is
-/// cloned into the returned [`SearchState`] (suspends are rare — one per
-/// deadline-preempted round — so the clone is off the hot path).
-fn run_preemptible(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
-    quantum: usize,
-) -> SolveOutcome {
-    match cache {
+    // The LP relaxation and workspaces are resolved on this stack frame,
+    // *outside* the search state — a worker scope inside `Bnb::drive`
+    // borrows the LP and options while the driver mutates the rest of the
+    // search, which an LP owned *by* the search state would forbid. On
+    // suspension the relaxation geometry is cloned into the returned
+    // `SearchState` (suspends are rare — one per deadline-preempted round —
+    // so the clone is off the hot path). A fresh lowering is stored here;
+    // the cached arm borrows the slot's.
+    let fresh_lp;
+    let mut fresh_ws;
+    let mut fresh_workers = Vec::new();
+    let (lp, geom, ws, factor_token) = match cache {
         Some(slot) => {
             let (lowered, ws, workers, factor_token) = slot.refresh_solver(model);
             if opts.cross_solve_factors {
@@ -603,53 +522,84 @@ fn run_preemptible(
             }
             let token = ws.factor_generation();
             let geom = SearchGeom::new(model, lowered.map.clone(), lowered.lp_integers.clone());
-            let mut core = SearchCore::new(model, opts, warm, &lowered.lp, &geom);
-            let store = WsStore { main: ws, workers };
-            let verdict = Bnb {
-                model,
-                opts,
-                filter,
-                lp: &lowered.lp,
-                geom: &geom,
-                core: &mut core,
-                ws: store,
-                factor_token: token,
-                // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
-                deadline: opts.time_limit.map(|d| Instant::now() + d),
-            }
-            .drive(quantum);
-            seal(verdict, model, opts, &lowered.lp, geom, core, token)
+            (&lowered.lp, geom, WsStore { main: ws, workers }, token)
         }
         None => {
             let (lp, lp_integers, map) = model.to_lp_reduced();
-            let mut ws = LpWorkspace::new();
+            fresh_lp = lp;
+            fresh_ws = LpWorkspace::new();
             // A fresh lowering is this tree's private matrix: factor
             // reuse is scoped to its own node solves.
             let token = next_factor_token();
-            ws.begin_factor_generation(token);
-            let mut workers = Vec::new();
-            let geom = SearchGeom::new(model, map, lp_integers);
-            let mut core = SearchCore::new(model, opts, warm, &lp, &geom);
+            fresh_ws.begin_factor_generation(token);
             let store = WsStore {
-                main: &mut ws,
-                workers: &mut workers,
+                main: &mut fresh_ws,
+                workers: &mut fresh_workers,
             };
-            let verdict = Bnb {
-                model,
-                opts,
-                filter,
-                lp: &lp,
-                geom: &geom,
-                core: &mut core,
-                ws: store,
-                factor_token: token,
-                // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
-                deadline: opts.time_limit.map(|d| Instant::now() + d),
-            }
-            .drive(quantum);
-            seal(verdict, model, opts, &lp, geom, core, token)
+            (
+                &fresh_lp,
+                SearchGeom::new(model, map, lp_integers),
+                store,
+                token,
+            )
         }
+    };
+    let mut core = SearchCore::new(model, opts, warm, lp, &geom);
+    let verdict = run_slice(
+        model,
+        opts,
+        filter,
+        lp,
+        &geom,
+        &mut core,
+        ws,
+        factor_token,
+        quantum,
+    );
+    seal(verdict, model, opts, lp, geom, core, factor_token)
+}
+
+/// Backs the run-to-completion entry points (cacheless).
+fn run_bnb(
+    model: &Model,
+    opts: &MilpOptions,
+    warm: MilpWarmStart<'_>,
+    filter: Option<IncumbentFilter<'_>>,
+) -> MilpResult {
+    match solve_preemptible(model, opts, warm, filter, None, usize::MAX) {
+        SolveOutcome::Done(r) => r,
+        // sqpr::allow(hot-path-panic): a usize::MAX quantum cannot exhaust, so Suspended is impossible by construction; there is no caller to surface it to
+        SolveOutcome::Suspended(_) => unreachable!("usize::MAX quantum never suspends"),
     }
+}
+
+/// Runs one slice of a search: the one place a [`Bnb`] driver is built,
+/// shared by a new search's first slice and every resumed one.
+#[allow(clippy::too_many_arguments)]
+fn run_slice<'a>(
+    model: &'a Model,
+    opts: &'a MilpOptions,
+    filter: Option<IncumbentFilter<'a>>,
+    lp: &'a Problem,
+    geom: &'a SearchGeom,
+    core: &'a mut SearchCore,
+    ws: WsStore<'a>,
+    factor_token: u64,
+    quantum: usize,
+) -> SliceVerdict {
+    Bnb {
+        model,
+        opts,
+        filter,
+        lp,
+        geom,
+        core,
+        ws,
+        factor_token,
+        // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
+        deadline: opts.time_limit.map(|d| Instant::now() + d),
+    }
+    .drive(quantum)
 }
 
 /// Converts a finished slice into its [`MilpResult`], or packs a suspended
@@ -735,25 +685,22 @@ impl SearchState {
         filter: Option<IncumbentFilter<'_>>,
         quantum: usize,
     ) -> SolveOutcome {
-        // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
-        let deadline = self.opts.time_limit.map(|d| Instant::now() + d);
         let state = &mut *self;
         let store = WsStore {
             main: &mut state.ws_main,
             workers: &mut state.ws_workers,
         };
-        let verdict = Bnb {
-            model: &state.model,
-            opts: &state.opts,
+        let verdict = run_slice(
+            &state.model,
+            &state.opts,
             filter,
-            lp: &state.lp,
-            geom: &state.geom,
-            core: &mut state.core,
-            ws: store,
-            factor_token: state.factor_token,
-            deadline,
-        }
-        .drive(quantum);
+            &state.lp,
+            &state.geom,
+            &mut state.core,
+            store,
+            state.factor_token,
+            quantum,
+        );
         match verdict {
             SliceVerdict::Finished(status, bound) => {
                 let core = std::mem::take(&mut self.core);
@@ -768,16 +715,6 @@ impl SearchState {
         self.core.nodes_done
     }
 
-    /// Open nodes on the frontier.
-    pub fn open_nodes(&self) -> usize {
-        self.core.heap.len()
-    }
-
-    /// Whether the suspended search holds a feasible incumbent.
-    pub fn has_incumbent(&self) -> bool {
-        self.core.incumbent.is_some()
-    }
-
     /// Anytime snapshot of the suspended search as a [`MilpResult`]:
     /// status `Feasible` with the incumbent if one exists, `Unknown`
     /// otherwise; `best_bound` is the best open node's bound. The state
@@ -789,7 +726,10 @@ impl SearchState {
         } else {
             MilpStatus::Unknown
         };
-        self.core.result_ref(&self.model, status, bound_min)
+        let incumbent = self.core.incumbent.clone();
+        let root_basis = self.core.root_basis_out.clone();
+        self.core
+            .result_with(&self.model, status, bound_min, incumbent, root_basis)
     }
 }
 
@@ -931,11 +871,7 @@ impl SearchCore {
                 Presolved::Infeasible => presolve_infeasible = true,
             }
         }
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
+        let flip = sense_flip(model);
         let incumbent = start.and_then(|x| {
             if model.is_feasible(x, opts.int_tol.max(1e-7)) {
                 Some((flip * model.objective_value(x), x.to_vec()))
@@ -975,50 +911,31 @@ impl SearchCore {
     /// Builds the final [`MilpResult`] from a finished search (consuming —
     /// the incumbent vector and exported root basis move out).
     fn result(mut self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
-        let (objective, x) = match self.incumbent.take() {
-            Some((obj, x)) => (flip * obj, Some(x)),
-            None => (f64::NAN, None),
-        };
-        let gap = match &x {
-            Some(_) if bound_min.is_finite() => {
-                (flip * objective - bound_min).abs() / objective.abs().max(1.0)
-            }
-            _ => f64::INFINITY,
-        };
-        MilpResult {
-            status,
-            objective,
-            best_bound: flip * bound_min,
-            x,
-            nodes: self.nodes_done,
-            lp_iterations: self.lp_iterations,
-            lp_pivots: self.lp_pivots,
-            gap,
-            root_basis: self.root_basis_out.take(),
-        }
+        let incumbent = self.incumbent.take();
+        let root_basis = self.root_basis_out.take();
+        self.result_with(model, status, bound_min, incumbent, root_basis)
     }
 
-    /// Non-consuming [`Self::result`] (anytime snapshots of a suspended
-    /// search clone the incumbent and root basis).
-    fn result_ref(&self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
-        let (objective, x) = match &self.incumbent {
-            Some((obj, x)) => (flip * obj, Some(x.clone())),
-            None => (f64::NAN, None),
-        };
-        let gap = match &self.incumbent {
+    /// This search's [`MilpResult`] around the given incumbent (minimisation
+    /// space) and exported root basis — anytime snapshots of a suspended
+    /// search pass clones.
+    fn result_with(
+        &self,
+        model: &Model,
+        status: MilpStatus,
+        bound_min: f64,
+        incumbent: Option<(f64, Vec<f64>)>,
+        root_basis: Option<ModelBasis>,
+    ) -> MilpResult {
+        let flip = sense_flip(model);
+        let gap = match &incumbent {
             Some((obj, _)) if bound_min.is_finite() => (obj - bound_min).abs() / obj.abs().max(1.0),
             _ => f64::INFINITY,
         };
+        let (objective, x) = match incumbent {
+            Some((obj, x)) => (flip * obj, Some(x)),
+            None => (f64::NAN, None),
+        };
         MilpResult {
             status,
             objective,
@@ -1028,8 +945,18 @@ impl SearchCore {
             lp_iterations: self.lp_iterations,
             lp_pivots: self.lp_pivots,
             gap,
-            root_basis: self.root_basis_out.clone(),
+            root_basis,
         }
+    }
+}
+
+/// `-1` for maximisation, `+1` for minimisation: the factor that moves
+/// objective values into the search's minimisation space and back.
+fn sense_flip(model: &Model) -> f64 {
+    if model.sense == Sense::Maximize {
+        -1.0
+    } else {
+        1.0
     }
 }
 
@@ -1042,14 +969,6 @@ impl<'a> Bnb<'a> {
             full[v] = x_lp[col];
         }
         full
-    }
-
-    fn flip(&self) -> f64 {
-        if self.model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        }
     }
 
     /// Materialises a node's model- and LP-space bounds into the scratch
@@ -1147,7 +1066,7 @@ impl<'a> Bnb<'a> {
                 return;
             }
         }
-        let true_obj = self.flip() * self.model.objective_value(&snapped);
+        let true_obj = sense_flip(self.model) * self.model.objective_value(&snapped);
         if self
             .core
             .incumbent
@@ -1854,7 +1773,11 @@ mod tests {
             max_nodes: 1, // only the root
             ..default_opts()
         };
-        let r = solve_with_start(&m, &opts, Some(&start));
+        let warm = MilpWarmStart {
+            start: Some(&start),
+            root_basis: None,
+        };
+        let r = run_bnb(&m, &opts, warm, None);
         // Even with a tiny budget we must report at least the start value.
         assert!(r.objective >= 13.0 - 1e-9);
         assert!(r.has_solution());
@@ -1928,13 +1851,14 @@ mod warm_start_tests {
         let cold = solve(&m, &opts);
         assert_eq!(cold.status, MilpStatus::Optimal);
         assert!(cold.root_basis.is_some(), "root basis must be exported");
-        let warm = solve_warm(
+        let warm = run_bnb(
             &m,
             &opts,
             MilpWarmStart {
                 start: cold.x.as_deref(),
                 root_basis: cold.root_basis.as_ref(),
             },
+            None,
         );
         assert_eq!(warm.status, MilpStatus::Optimal);
         assert!((warm.objective - cold.objective).abs() < 1e-6);
@@ -1956,13 +1880,14 @@ mod warm_start_tests {
         let small_r = solve(&small, &opts);
         let big = knapsack(14);
         let cold = solve(&big, &opts);
-        let warm = solve_warm(
+        let warm = run_bnb(
             &big,
             &opts,
             MilpWarmStart {
                 start: None,
                 root_basis: small_r.root_basis.as_ref(),
             },
+            None,
         );
         assert_eq!(warm.status, MilpStatus::Optimal);
         assert!((warm.objective - cold.objective).abs() < 1e-6);
@@ -1982,7 +1907,12 @@ mod filter_tests {
         let b = m.add_binary(1.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         let reject_both = |x: &[f64]| !(x[0] > 0.5 && x[1] > 0.5);
-        let r = solve_filtered(&m, &MilpOptions::default(), None, &reject_both);
+        let r = solve_filtered_warm(
+            &m,
+            &MilpOptions::default(),
+            MilpWarmStart::default(),
+            &reject_both,
+        );
         // (1,1) filtered out; best accepted is (1,0) = 2.
         if let Some(x) = &r.x {
             assert!(reject_both(x), "returned solution violates the filter");
@@ -2002,7 +1932,11 @@ mod filter_tests {
             max_nodes: 1,
             ..MilpOptions::default()
         };
-        let r = solve_filtered(&m, &opts, Some(&start), &reject_all);
+        let warm = MilpWarmStart {
+            start: Some(&start),
+            root_basis: None,
+        };
+        let r = solve_filtered_warm(&m, &opts, warm, &reject_all);
         assert!(r.has_solution());
         assert!((r.objective - 1.0).abs() < 1e-9);
     }

@@ -7,10 +7,23 @@
 //! replayed deterministically.
 
 use sqpr_milp::{
-    solve, solve_warm_cached, LpCacheSlot, MilpOptions, MilpStatus, MilpWarmStart, Model, Sense,
-    VarId,
+    solve, solve_preemptible, LpCacheSlot, MilpOptions, MilpResult, MilpStatus, MilpWarmStart,
+    Model, Sense, VarId,
 };
 use sqpr_workload::rng::{Rng, StdRng};
+
+/// A run-to-completion solve served from `slot` (a `usize::MAX` quantum
+/// never suspends).
+fn solve_cached(
+    m: &Model,
+    opts: &MilpOptions,
+    warm: MilpWarmStart<'_>,
+    slot: &mut LpCacheSlot,
+) -> MilpResult {
+    solve_preemptible(m, opts, warm, None, Some(slot), usize::MAX)
+        .done()
+        .expect("a usize::MAX quantum never suspends")
+}
 
 /// A random binary program over a fixed structure: the "skeleton" the
 /// planner would keep across submissions.
@@ -80,7 +93,7 @@ fn cached_cross_submission_solves_match_fresh() {
                 start: None,
                 root_basis: root_basis.as_ref(),
             };
-            let cached = solve_warm_cached(&m, &opts, warm, &mut slot);
+            let cached = solve_cached(&m, &opts, warm, &mut slot);
             let fresh = solve(&m, &opts);
             assert_eq!(
                 cached.status, fresh.status,
@@ -125,7 +138,7 @@ fn refix_rounds_patch_instead_of_rebuilding() {
     }
     let mut slot = LpCacheSlot::new();
     let opts = MilpOptions::default();
-    solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+    solve_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
     assert_eq!(slot.stats().rebuilds, 1);
     // Submissions 2..=5 re-pin different values of the same class.
     let mut rng = StdRng::seed_from_u64(7);
@@ -134,7 +147,7 @@ fn refix_rounds_patch_instead_of_rebuilding() {
             let val = if rng.gen_bool() { 1.0 } else { 0.0 };
             m.set_bounds(v, val, val);
         }
-        solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+        solve_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
     }
     let stats = slot.stats();
     assert_eq!(stats.rebuilds, 1, "re-pins within the class: {stats:?}");
@@ -166,7 +179,7 @@ fn consecutive_cached_roots_reattach_factors() {
             cross_solve_factors: flag,
             ..MilpOptions::default()
         };
-        let r1 = solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+        let r1 = solve_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
         assert_eq!(r1.status, MilpStatus::Optimal);
         assert_eq!(r1.lp_pivots.factor_reattaches, 0, "nothing cached yet");
         // Next "submission": same class, different pin value — bound patch
@@ -176,7 +189,7 @@ fn consecutive_cached_roots_reattach_factors() {
             start: None,
             root_basis: r1.root_basis.as_ref(),
         };
-        let r2 = solve_warm_cached(&m, &opts, warm, &mut slot);
+        let r2 = solve_cached(&m, &opts, warm, &mut slot);
         assert_eq!(r2.status, MilpStatus::Optimal);
         assert_eq!(slot.stats().patches, 1, "second solve must patch");
         if expect_reattach {
@@ -207,14 +220,14 @@ fn appended_rows_fence_factor_reuse() {
     m.fix_var(f, 1.0);
     let mut slot = LpCacheSlot::new();
     let opts = MilpOptions::default();
-    let r1 = solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+    let r1 = solve_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
     assert_eq!(r1.status, MilpStatus::Optimal);
     m.add_le(vec![(x, 1.0)], 3.0); // cut: matrix grows a row
     let warm = MilpWarmStart {
         start: None,
         root_basis: r1.root_basis.as_ref(),
     };
-    let r2 = solve_warm_cached(&m, &opts, warm, &mut slot);
+    let r2 = solve_cached(&m, &opts, warm, &mut slot);
     assert_eq!(r2.status, MilpStatus::Optimal);
     assert_eq!(
         r2.lp_pivots.factor_reattaches, 0,

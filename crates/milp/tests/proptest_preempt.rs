@@ -235,12 +235,17 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
             SolveOutcome::Suspended(state) => {
                 // Interleave: a different full solve through the same slot
                 // while the first search is parked.
-                let again = sqpr_milp::solve_warm_cached(
+                let Some(again) = solve_preemptible(
                     &model,
                     &opts,
                     MilpWarmStart::default(),
-                    &mut slot,
-                );
+                    None,
+                    Some(&mut slot),
+                    usize::MAX,
+                )
+                .done() else {
+                    panic!("seed {seed}: unbounded interleaved solve suspended");
+                };
                 assert_eq!(again.status, base.status, "seed {seed}: slot corrupted");
                 assert_eq!(
                     again.objective.to_bits(),
